@@ -276,6 +276,16 @@ impl std::fmt::Display for SimReport {
     }
 }
 
+/// Device-queue work counters of a [`Simulator`]; see
+/// [`Simulator::queue_cost`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QueueCost {
+    /// Queue entries visited by batch takes, `retain` sweeps and lookups.
+    pub entries_visited: u64,
+    /// Batches started on any device.
+    pub batches_started: u64,
+}
+
 /// Discrete-event simulator of one accelerator-outfitted leaf node.
 ///
 /// Drive it by enqueuing arrivals
@@ -345,8 +355,6 @@ pub struct Simulator {
     // --- reusable scratch buffers (hot-path allocation elimination) --------
     /// Batch under formation in `try_start`.
     batch_scratch: Vec<WorkItem>,
-    /// Queue remainder while a batch forms in `try_start`.
-    rest_scratch: VecDeque<WorkItem>,
     /// Successor edges of the completing kernel in `complete`.
     succ_scratch: Vec<(KernelId, u64)>,
     /// Devices touched by a cancellation sweep.
@@ -355,6 +363,11 @@ pub struct Simulator {
     hedge_scratch: Vec<f64>,
     /// Per-kernel remainder table for `downstream_margin`.
     margin_scratch: Vec<f64>,
+    /// Per-device backlog table for `downstream_margin`.
+    load_scratch: Vec<f64>,
+    /// Batches started since construction (the denominator of
+    /// [`queue_cost`](Self::queue_cost); never reset).
+    batches_started: u64,
     // --- lifetime audit counters (never reset; see `audit`) ---------------
     life_admitted: usize,
     life_completed: usize,
@@ -426,11 +439,12 @@ impl Simulator {
             seg_failed: 0,
             hedge_window: vec![VecDeque::new(); n_kernels],
             batch_scratch: Vec::new(),
-            rest_scratch: VecDeque::new(),
             succ_scratch: Vec::new(),
             touched_scratch: Vec::new(),
             hedge_scratch: Vec::new(),
             margin_scratch: Vec::new(),
+            load_scratch: Vec::new(),
+            batches_started: 0,
             life_admitted: 0,
             life_completed: 0,
             life_timed_out: 0,
@@ -526,14 +540,13 @@ impl Simulator {
         let sf = poly_device::size_scale(DeviceKind::Fpga, size);
         // Per-device backlog right now: busy tail plus queued work, derated.
         let now = self.now;
-        let load: Vec<f64> = self
-            .devices
-            .iter()
-            .map(|d| {
-                let queued: f64 = d.queue.iter().map(|it| it.est_ms).sum();
-                (d.busy_until.max(now) - now) + queued * d.derate
-            })
-            .collect();
+        let mut load = std::mem::take(&mut self.load_scratch);
+        load.clear();
+        load.extend(
+            self.devices
+                .iter()
+                .map(|d| (d.busy_until.max(now) - now) + d.queue.backlog_ms() * d.derate),
+        );
         let order = std::mem::take(&mut self.topo_order);
         let mut rem = std::mem::take(&mut self.margin_scratch);
         rem.clear();
@@ -580,6 +593,7 @@ impl Simulator {
         }
         let margin = rem[kernel.0];
         self.margin_scratch = rem;
+        self.load_scratch = load;
         self.topo_order = order;
         margin
     }
@@ -987,10 +1001,8 @@ impl Simulator {
         }
         // Locate the device holding the primary copy (queued or in
         // flight); a stranded primary has nothing to race against.
-        let holder = self.devices.iter().position(|d| {
-            d.queue
-                .iter()
-                .any(|it| it.req == req && it.kernel == kernel)
+        let holder = self.devices.iter_mut().position(|d| {
+            d.queue.holds(req, kernel)
                 || d.inflight.iter().any(|e| {
                     e.item.req == req
                         && e.item.kernel == kernel
@@ -1136,8 +1148,7 @@ impl Simulator {
             // kernels or other sizes). A derated (throttled) device
             // works through its backlog `derate`× slower, so weight the
             // sum accordingly.
-            let queued_ms: f64 = d.queue.iter().map(|it| it.est_ms).sum();
-            let mut score = d.busy_until.max(self.now) + queued_ms * d.derate;
+            let mut score = d.busy_until.max(self.now) + d.queue.backlog_ms() * d.derate;
             if i != home && d.kind == DeviceKind::Gpu {
                 // GPU spill only pays off when the home is congested by
                 // more than one average execution (batch locality); FPGA
@@ -1409,13 +1420,7 @@ impl Simulator {
         // start immediately, keeping the low-load tail flat.
         let budget = self.wait_budget.get(front.kernel.0).copied().unwrap_or(0.0);
         if budget > 0.0 {
-            let same: u32 = self.devices[dev]
-                .queue
-                .iter()
-                .filter(|i| i.kernel == front.kernel)
-                .count()
-                .try_into()
-                .unwrap_or(u32::MAX);
+            let same = self.devices[dev].queue.count_kernel(front.kernel);
             let deadline = self.requests.arrival_ms(front.req) + budget;
             // Queue gate: only hold the batch open when a partial batch is
             // already forming (the device is trending throughput-bound);
@@ -1447,28 +1452,15 @@ impl Simulator {
             }
         }
         // Gather up to `batch` queued items of the same kernel (GPU
-        // batching); preserve the order of everything else. Both buffers
-        // are engine-owned scratch, so steady-state batch formation
-        // allocates nothing (the drained queue becomes the next scratch).
+        // batching); preserve the order of everything else. Batches are
+        // homogeneous in (kernel, alternate): entries dispatched under
+        // different implementations must not share a launch.
         let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut rest = std::mem::take(&mut self.rest_scratch);
         batch.clear();
-        rest.clear();
         let d = &mut self.devices[dev];
-        while let Some(item) = d.queue.pop_front() {
-            // Batches are homogeneous in (kernel, alternate): entries
-            // dispatched under different implementations must not share
-            // a launch.
-            if item.kernel == front.kernel
-                && item.alt == front.alt
-                && batch.len() < imp.batch as usize
-            {
-                batch.push(item);
-            } else {
-                rest.push_back(item);
-            }
-        }
-        self.rest_scratch = std::mem::replace(&mut d.queue, rest);
+        d.queue
+            .take_batch(front.kernel, front.alt, imp.batch as usize, &mut batch);
+        self.batches_started += 1;
 
         let mut start = now;
         if d.kind == DeviceKind::Fpga && d.loaded != Some((front.kernel, imp.impl_index)) {
@@ -1844,9 +1836,7 @@ impl Simulator {
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
         for (i, d) in self.devices.iter_mut().enumerate() {
-            let before = d.queue.len() + d.inflight.len();
-            d.queue.retain(|it| it.req != req);
-            if before != d.queue.len() + d.inflight.len() {
+            if d.queue.retain(|it| it.req != req) > 0 {
                 touched.push(i);
             }
         }
@@ -1881,12 +1871,12 @@ impl Simulator {
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
         for (i, d) in self.devices.iter_mut().enumerate() {
-            let before = d.queue.len() + d.inflight.len();
-            d.queue.retain(|it| !(it.req == req && it.kernel == kernel));
+            let before = d.inflight.len();
+            let removed = d.queue.remove_stage(req, kernel);
             d.inflight.retain(|e| {
                 !(e.item.req == req && e.item.kernel == kernel && e.completion_ms > now + 1e-12)
             });
-            if d.queue.len() + d.inflight.len() != before {
+            if removed > 0 || d.inflight.len() != before {
                 touched.push(i);
             }
         }
@@ -1990,6 +1980,18 @@ impl Simulator {
     #[must_use]
     pub fn queued(&self) -> usize {
         self.devices.iter().map(|d| d.queue.len()).sum::<usize>() + self.stranded.len()
+    }
+
+    /// Work done on device queues since construction: how many entries
+    /// batch formation, cancellation and lookups visited, against how
+    /// many batches started. A deterministic host-cost measure that no
+    /// simulated result depends on.
+    #[must_use]
+    pub fn queue_cost(&self) -> QueueCost {
+        QueueCost {
+            entries_visited: self.devices.iter().map(|d| d.queue.visits()).sum(),
+            batches_started: self.batches_started,
+        }
     }
 
     /// Schedule the events of `plan` as discrete fault events. Events
@@ -2152,7 +2154,7 @@ impl Simulator {
                     d.busy_until = now;
                     d.loaded = None;
                     d.idle_power_w = 0.0;
-                    queued_victims.extend(d.queue.drain(..));
+                    queued_victims.extend(d.queue.drain());
                 }
                 // Kill the in-flight batch: bump each victim's attempt so
                 // its scheduled completion becomes stale, then retry it.

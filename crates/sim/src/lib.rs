@@ -43,8 +43,8 @@ pub mod workload;
 pub use audit::{AuditError, AuditReport};
 pub use device::DeviceStats;
 pub use engine::{
-    DynamicDispatch, ExecutionRecord, KernelStats, PipelineConfig, SimConfig, SimReport, Simulator,
-    GPU_PARKED_FRACTION,
+    DynamicDispatch, ExecutionRecord, KernelStats, PipelineConfig, QueueCost, SimConfig, SimReport,
+    Simulator, GPU_PARKED_FRACTION,
 };
 pub use ep::{ep_metric, EpCurve, EpPoint};
 pub use equeue::EventQueue;
